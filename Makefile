@@ -1,14 +1,15 @@
 # Build, test, and benchmark entry points. `make test` is the tier-1
 # gate (vet + full test suite); `make race` runs the analysis core, the
-# fault layer, the UDP server, and the serve/snapshot layer under the
-# race detector; `make bench` records the core perf trajectory to
-# BENCH_core.json; `make check` adds per-package coverage plus the
-# observability, fault-injection, and serve-and-checkpoint smoke tests
-# on top of test + race.
+# fault layer, and the serve/snapshot layer under the race detector;
+# `make bench` records the core perf trajectory to BENCH_core.json;
+# `make check` adds per-package coverage, the observability,
+# fault-injection, serve-and-checkpoint, sliding-window, tracing,
+# provenance and self-observation smoke tests, and the bench guard on
+# top of test + race.
 
 GO ?= go
 
-.PHONY: all build vet test race bench benchguard cover obs-smoke faults-smoke serve-smoke window-smoke shard-smoke trace-smoke explain-smoke history-smoke serve-load check clean
+.PHONY: all build vet test race bench benchguard cover obs-smoke faults-smoke serve-smoke window-smoke trace-smoke explain-smoke history-smoke serve-load check clean
 
 all: build test
 
@@ -22,7 +23,7 @@ test: vet
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/faults/... ./internal/udpserve/... ./internal/serve/... ./internal/snapshot/...
+	$(GO) test -race ./internal/core/... ./internal/faults/... ./internal/serve/... ./internal/snapshot/...
 
 # The perf-critical benches: the similarity engine sweep (scalar vs
 # bitset × serial vs auto — the scalar rows are the permanent "before"
@@ -73,15 +74,6 @@ serve-smoke:
 window-smoke:
 	./scripts/window_smoke.sh
 
-# End-to-end sharding check: a 4-shard daemon rebalances a tenant
-# between shards mid-stream (the snapshot file physically moves between
-# shard subdirectories), is hard-killed, restarts from the same state
-# dir, and must answer all five deterministic query endpoints
-# byte-identically to an uninterrupted 4-shard daemon that never
-# rebalanced.
-shard-smoke:
-	./scripts/shard_smoke.sh
-
 # End-to-end tracing check: run a scenario twice with -trace and assert
 # both outputs are valid Chrome trace JSON with tile/sweep/ingest spans
 # nested under the run root, and that the canonical trees (timestamps
@@ -109,7 +101,7 @@ history-smoke:
 serve-load:
 	./scripts/serve_load.sh
 
-check: test race cover obs-smoke faults-smoke serve-smoke window-smoke shard-smoke trace-smoke explain-smoke history-smoke benchguard
+check: test race cover obs-smoke faults-smoke serve-smoke window-smoke trace-smoke explain-smoke history-smoke benchguard
 
 clean:
 	rm -f BENCH_core.json BENCH_core.json.tmp bench.out cover.out

@@ -15,6 +15,8 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"fenrir/internal/timeline"
 )
@@ -33,11 +35,18 @@ const (
 
 // Space defines the universe a family of vectors shares: the ordered set
 // of networks (rows of D) and the interned site alphabet (values of D).
+// It is safe for concurrent use: the daemon interns a producer's new
+// labels while the tenant's worker and query handlers read labels.
 type Space struct {
-	nets    []string
-	netIdx  map[string]int
-	sites   []string
+	nets   []string
+	netIdx map[string]int
+
+	// mu serializes interning. sites only ever grows: a new label is
+	// appended past every published length and the longer header is
+	// stored, so readers load it without taking mu.
+	mu      sync.Mutex
 	siteIdx map[string]int
+	sites   atomic.Pointer[[]string]
 }
 
 // NewSpace creates a space over the given network identifiers (e.g. "/24"
@@ -50,6 +59,7 @@ func NewSpace(networks []string) *Space {
 		netIdx:  make(map[string]int, len(networks)),
 		siteIdx: make(map[string]int),
 	}
+	s.sites.Store(new([]string))
 	for i, n := range networks {
 		if _, dup := s.netIdx[n]; dup {
 			panic(fmt.Sprintf("core: duplicate network %q", n))
@@ -75,14 +85,20 @@ func (s *Space) NetworkIndex(name string) int {
 
 // SiteIndex interns a site label, assigning the next index on first use.
 func (s *Space) SiteIndex(name string) int32 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if i, ok := s.siteIdx[name]; ok {
 		return int32(i)
 	}
-	i := len(s.sites)
-	s.sites = append(s.sites, name)
+	sites := append(s.siteList(), name)
+	s.sites.Store(&sites)
+	i := len(sites) - 1
 	s.siteIdx[name] = i
 	return int32(i)
 }
+
+// siteList returns the interned labels published so far.
+func (s *Space) siteList() []string { return *s.sites.Load() }
 
 // SiteName returns the label of an interned site index; Unknown maps to
 // the empty string.
@@ -90,14 +106,14 @@ func (s *Space) SiteName(i int32) string {
 	if i == Unknown {
 		return ""
 	}
-	return s.sites[i]
+	return s.siteList()[i]
 }
 
 // Sites returns the interned site labels in interning order.
-func (s *Space) Sites() []string { return append([]string(nil), s.sites...) }
+func (s *Space) Sites() []string { return append([]string(nil), s.siteList()...) }
 
 // NumSites returns the number of interned sites.
-func (s *Space) NumSites() int { return len(s.sites) }
+func (s *Space) NumSites() int { return len(s.siteList()) }
 
 // Vector is one routing result D(t): the catchment assignment of every
 // network in the space at epoch T.
@@ -135,7 +151,7 @@ func (v *Vector) Site(n int) (string, bool) {
 	if a == Unknown {
 		return "", false
 	}
-	return v.Space.sites[a], true
+	return v.Space.siteList()[a], true
 }
 
 // Assignments returns a copy of the vector's interned assignment row
@@ -167,9 +183,10 @@ func (v *Vector) KnownCount() int {
 // (§2.2). Unknown networks are omitted.
 func (v *Vector) Aggregate() map[string]int {
 	out := make(map[string]int)
+	sites := v.Space.siteList()
 	for _, a := range v.assign {
 		if a != Unknown {
-			out[v.Space.sites[a]]++
+			out[sites[a]]++
 		}
 	}
 	return out
@@ -178,9 +195,10 @@ func (v *Vector) Aggregate() map[string]int {
 // AggregateWeighted computes A(t) with per-network weights (§2.5).
 func (v *Vector) AggregateWeighted(w []float64) map[string]float64 {
 	out := make(map[string]float64)
+	sites := v.Space.siteList()
 	for i, a := range v.assign {
 		if a != Unknown {
-			out[v.Space.sites[a]] += w[i]
+			out[sites[a]] += w[i]
 		}
 	}
 	return out

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -39,6 +41,51 @@ func TestSpaceBasics(t *testing.T) {
 	}
 	if s.NumSites() != 1 {
 		t.Errorf("NumSites = %d", s.NumSites())
+	}
+}
+
+// The daemon interns a producer's new labels while the tenant's worker
+// and query handlers read labels, and several producers may intern at
+// once. Writers and readers sharing one Space must agree on every
+// index; run under -race.
+func TestSpaceConcurrentIntern(t *testing.T) {
+	s := NewSpace(nets(4))
+	v := s.NewVector(0)
+	v.Set(0, "seed")
+	const writers, labels = 4, 200
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < labels; i++ {
+				// Every writer interns the same labels, so each must see
+				// one index per label whichever goroutine won the race.
+				name := fmt.Sprintf("site-%d", i)
+				if got := s.SiteName(s.SiteIndex(name)); got != name {
+					t.Errorf("writer %d: SiteName(SiteIndex(%q)) = %q", w, name, got)
+					return
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < labels; i++ {
+				if site, ok := v.Site(0); !ok || site != "seed" {
+					t.Errorf("reader saw %q", site)
+					return
+				}
+				_ = s.Sites()
+				_ = v.Aggregate()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := s.NumSites(); got != labels+1 {
+		t.Fatalf("NumSites = %d, want %d", got, labels+1)
 	}
 }
 

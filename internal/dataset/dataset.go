@@ -107,11 +107,21 @@ func Load(r io.Reader, sched timeline.Schedule) (*core.Series, error) {
 	for i, e := range epochs {
 		vectors[i] = space.NewVector(e)
 	}
+	// A few labels repeat across every cell: intern each once and assign
+	// the rest by index, so the load does not pay the space's interning
+	// lock per cell.
+	interned := make(map[string]int32)
 	for n, row := range cells {
 		for i, cell := range row {
-			if cell != "" {
-				vectors[i].Set(n, cell)
+			if cell == "" {
+				continue
 			}
+			a, ok := interned[cell]
+			if !ok {
+				a = space.SiteIndex(cell)
+				interned[cell] = a
+			}
+			vectors[i].SetIndex(n, a)
 		}
 	}
 	return core.NewSeries(space, sched, vectors, nil), nil

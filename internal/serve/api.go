@@ -129,7 +129,6 @@ func (s *Server) buildMux() *http.ServeMux {
 	mux.HandleFunc("GET /v1/tenants/{name}/transitions", s.timed("transitions", s.withTenant(s.handleTransitions)))
 	mux.HandleFunc("GET /v1/tenants/{name}/flows", s.timed("flows", s.withTenant(s.handleFlows)))
 	mux.HandleFunc("POST /v1/tenants/{name}/checkpoint", s.withTenant(s.handleCheckpoint))
-	mux.HandleFunc("POST /v1/admin/rebalance", s.handleRebalance)
 	mux.Handle("GET /debug/trace", obs.TraceHandler(s.cfg.Obs))
 	mux.Handle("GET /debug/events", obs.EventsHandler(s.cfg.Obs))
 	// Telemetry history (nil store when -history-every 0: queries 404,
@@ -164,7 +163,6 @@ func (s *Server) withTenant(h func(http.ResponseWriter, *http.Request, *tenant))
 func (s *Server) handleListTenants(w http.ResponseWriter, _ *http.Request) {
 	type entry struct {
 		Name    string `json:"name"`
-		Shard   int    `json:"shard"`
 		History int    `json:"history"`
 		Appends uint64 `json:"appends"`
 		Events  uint64 `json:"events"`
@@ -176,7 +174,7 @@ func (s *Server) handleListTenants(w http.ResponseWriter, _ *http.Request) {
 			continue
 		}
 		snap := t.mon.Snapshot()
-		out = append(out, entry{Name: name, Shard: t.sh.id, History: snap.History, Appends: snap.Appends, Events: snap.Events})
+		out = append(out, entry{Name: name, History: snap.History, Appends: snap.Appends, Events: snap.Events})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"tenants": out})
 }
@@ -201,12 +199,11 @@ func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// insert re-checks the draining flag under the shard lock — the same
-	// lock Drain takes to flip it — so a create cannot slip between the
-	// isDraining check above and the map insert and leave a running,
-	// never-drained tenant behind (the old create-vs-drain TOCTOU).
-	sh := s.shardFor(name)
-	if _, err := sh.insert(name, mon); err != nil {
+	// insert re-checks the draining flag under the tenant-map lock — the
+	// same lock Drain takes to flip it — so a create cannot slip between
+	// the isDraining check above and the map insert and leave a running,
+	// never-drained tenant behind.
+	if _, err := s.insert(name, mon); err != nil {
 		switch {
 		case errors.Is(err, errDraining):
 			writeErr(w, http.StatusServiceUnavailable, "server is draining")
@@ -219,7 +216,7 @@ func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 	}
 	s.setTenantGauge()
 	writeJSON(w, http.StatusCreated, map[string]any{
-		"name": name, "networks": len(spec.Networks), "shard": sh.id,
+		"name": name, "networks": len(spec.Networks),
 	})
 }
 
@@ -302,7 +299,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request, t *tenant)
 	t.mu.Unlock()
 	out := map[string]any{
 		"name":           t.name,
-		"shard":          t.sh.id,
 		"history":        snap.History,
 		"appends":        snap.Appends,
 		"events":         snap.Events,
@@ -429,9 +425,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, t *tenant)
 		}
 	}
 	// Admission latency: request arrival to accepted verdict, recorded
-	// per tenant (governed) and rolled up per shard (never governed).
+	// per tenant (governed) and daemon-wide (never governed).
 	t.admitHist.ObserveSince(t0)
-	t.sh.admitHist.ObserveSince(t0)
+	s.admitHist.ObserveSince(t0)
 	writeJSON(w, http.StatusAccepted, map[string]any{"accepted": true, "epoch": ob.Epoch})
 }
 
@@ -446,7 +442,15 @@ func (s *Server) handleMode(w http.ResponseWriter, _ *http.Request, t *tenant) {
 	// matrix per request. Byte-identical to the batch pipeline with
 	// default adaptive options, pinned by the core equivalence tests.
 	modes := t.mon.LiveModes()
-	cur := modes.ModeOf(t.mon.Len() - 1)
+	// The newest row comes from the result itself, not a second Len()
+	// call: an append landing between the two would name a row the
+	// result does not hold. The modes partition every retained row, so
+	// the newest is the row count minus one.
+	rows := 0
+	for _, m := range modes.Modes {
+		rows += len(m.Rows)
+	}
+	cur := modes.ModeOf(rows - 1)
 	if cur == nil {
 		writeErr(w, http.StatusNotFound, "latest observation is in no mode")
 		return
@@ -568,23 +572,15 @@ func (s *Server) handleServerStatus(w http.ResponseWriter, _ *http.Request) {
 		appends += snap.Appends
 		events += snap.Events
 	}
-	shards := make([]map[string]any, 0, len(s.shards))
-	for _, sh := range s.shards {
-		shards = append(shards, map[string]any{
-			"shard":         sh.id,
-			"tenants":       sh.count(),
-			"pending":       sh.pending.Load(),
-			"drain_seconds": time.Duration(sh.drainNanos.Load()).Seconds(),
-		})
-	}
 	out := map[string]any{
-		"tenants":  len(names),
-		"shards":   shards,
-		"history":  history,
-		"appends":  appends,
-		"events":   events,
-		"draining": s.isDraining(),
-		"runtime":  obs.ReadRuntimeHealth(),
+		"tenants":       len(names),
+		"history":       history,
+		"appends":       appends,
+		"events":        events,
+		"pending":       s.pending.Load(),
+		"draining":      s.isDraining(),
+		"drain_seconds": time.Duration(s.drainNanos.Load()).Seconds(),
+		"runtime":       obs.ReadRuntimeHealth(),
 	}
 	if s.hist != nil {
 		// The self-observation block: what the daemon's own alert engine
@@ -699,16 +695,6 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request, t *ten
 	if s.cfg.SnapshotDir == "" {
 		writeErr(w, http.StatusConflict, "no -snapshot-dir configured")
 		return
-	}
-	// Serialize with rebalance and re-resolve: a move that landed between
-	// routing and here swapped the tenant onto another shard, and writing
-	// through the stale object would resurrect the old shard directory's
-	// snapshot file. Holding rebalanceMu pins the placement for the
-	// duration of the write.
-	s.rebalanceMu.Lock()
-	defer s.rebalanceMu.Unlock()
-	if cur := s.tenant(t.name); cur != nil {
-		t = cur
 	}
 	t.flush()
 	size, err := t.checkpoint()

@@ -13,17 +13,13 @@
 // internal/snapshot files so a restarted daemon answers queries
 // byte-identically to one that never stopped.
 //
-// Tenants are partitioned across S in-process shards (Config.Shards,
-// `fenrir -shards`) by consistent hash of the tenant name. Each shard
-// owns its tenant map, its own lock, and its own snapshot subdirectory
-// (<dir>/shard-<k>/), so admission on one shard never contends with
-// creates, lookups, or drains on another, and SIGTERM drains all
-// shards in parallel. POST /v1/admin/rebalance moves a tenant between
-// shards through the FENRSNP1 codec — flush, snapshot, restore on the
-// target, flip placement — byte-identically to never having moved.
+// One tenant map, owned by the Server, holds every monitor: tenants
+// are independent, so nothing partitions them, and the daemon's
+// measured ingest cost showed no gain from doing so (DESIGN.md §8).
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -42,17 +38,13 @@ import (
 )
 
 // Config tunes a Server. The zero value serves from memory only: no
-// checkpoints, one shard, default queue depth, no instrumentation, no
-// faults.
+// checkpoints, default queue depth, no instrumentation, no faults.
 type Config struct {
 	// SnapshotDir is where tenant checkpoints live ("" disables
-	// checkpointing). Checkpoints are laid out per shard as
-	// <dir>/shard-<k>/<name>.fsnap; on startup every checkpoint found
-	// there is restored as a tenant on the shard whose subdirectory
-	// holds it, which is how both a warm restart and a rebalanced
-	// placement resume exactly where the previous process stopped.
-	// Flat <dir>/<name>.fsnap files from a pre-shard daemon are
-	// migrated into their home shard's subdirectory on startup.
+	// checkpointing), as <dir>/shard-0/<name>.fsnap (see snapSubdir). On
+	// startup every checkpoint there is restored as a tenant, which is
+	// how a warm restart resumes exactly where the previous process
+	// stopped; a *.fsnap anywhere else under <dir> makes New fail.
 	SnapshotDir string
 	// SnapshotEvery checkpoints a tenant after this many accepted
 	// observations (<= 0 means every 64). Tenants also checkpoint on
@@ -63,23 +55,18 @@ type Config struct {
 	QueueDepth int
 	// DefaultWindow is the sliding-window bound applied to tenants whose
 	// spec does not set one (0 = unbounded), and to restored tenants
-	// whose checkpoint carries no window of its own — so a v1/unbounded
+	// whose checkpoint carries no window of its own — so an unbounded
 	// snapshot restarted under -window is bounded exactly like an
 	// identical freshly created tenant. A windowed tenant retains only
 	// its newest Window observations; see core.MonitorOptions.
 	DefaultWindow int
-	// Shards is the number of in-process shard workers tenants are
-	// placed across by consistent hash (jump hash over the tenant
-	// name); <= 0 means 1. Each shard has its own lock, tenant map, and
-	// snapshot subdirectory, and drains in parallel with the others.
-	Shards int
 	// Obs receives serve metrics; nil disables instrumentation.
 	Obs *obs.Registry
 	// Faults, when non-nil, mangles ingest the way it mangles every
 	// other substrate: request bodies pass through Datagram (loss,
 	// corruption, duplication) and site labels through SiteLabel.
 	Faults *faults.Injector
-	// HistoryEvery enables the telemetry history sampler (DESIGN.md §16):
+	// HistoryEvery enables the telemetry history sampler (DESIGN.md §15):
 	// every interval the daemon scrapes its own registry into ring
 	// buffers served at /v1/query and /debug/timeline, and evaluates the
 	// alert rules. <= 0 disables history entirely (the zero Config stays
@@ -94,8 +81,8 @@ type Config struct {
 	// SeriesCap caps per-metric-family tenant label cardinality in the
 	// registry: past the cap, new tenant-labeled series collapse into
 	// {tenant="__other__"} and fenrir_obs_dropped_series_total counts the
-	// overflow. Shard-labeled rollup series are never governed, so
-	// shard-level SLOs stay exact at any tenant count. <= 0 disables.
+	// overflow. The daemon-wide unlabeled series are never governed, so
+	// fleet-level SLOs stay exact at any tenant count. <= 0 disables.
 	SeriesCap int
 }
 
@@ -113,63 +100,74 @@ func (c Config) snapshotEvery() int {
 	return c.SnapshotEvery
 }
 
-func (c Config) shardCount() int {
-	if c.Shards <= 0 {
-		return 1
-	}
-	return c.Shards
-}
+// snapSubdir is the one directory under Config.SnapshotDir that holds
+// tenant checkpoints. The name is historical — earlier daemons spread
+// tenants over shard-<k>/ subdirectories and the default one used
+// shard-0/ — and is kept so every existing default daemon's state, and
+// checkpoint trees built for it by other tools, restore unchanged.
+const snapSubdir = "shard-0"
 
-// Server hosts named monitor tenants across a set of shards. Create
-// with New, mount Handler on an http.Server, and call Drain before
-// exit.
+// Sentinel errors insert returns; the API layer maps them to 503 and 409.
+var (
+	errDraining = errors.New("serve: server is draining")
+	errExists   = errors.New("serve: tenant already exists")
+)
+
+// Server hosts named monitor tenants. Create with New, mount Handler on
+// an http.Server, and call Drain before exit.
 type Server struct {
 	cfg Config
 	mux *http.ServeMux
 
-	shards   []*shard
+	// mu guards tenants and orders creates against Drain: draining is
+	// set under mu, and insert re-checks it under mu (see insert).
+	// Handlers also read draining without mu for an early 503.
+	mu       sync.Mutex
+	tenants  map[string]*tenant
 	draining atomic.Bool
+
+	// pending is the admitted-but-not-yet-appended backlog across all
+	// tenants, mirrored into pendingGauge; drainNanos is the wall time of
+	// the last Drain (0 until one runs). /status reports both.
+	pending      atomic.Int64
+	drainNanos   atomic.Int64
+	pendingGauge *obs.Gauge
+	drainGauge   *obs.Gauge
+	// admitHist is the daemon-wide admission latency. It carries no
+	// tenant label, so the cardinality governor never collapses it and
+	// the fleet-level SLO stays exact at any tenant count.
+	admitHist *obs.Histogram
 
 	// hist is the telemetry history store (nil unless HistoryEvery > 0);
 	// its sampler goroutine starts in New and stops in Drain.
 	hist *history.Store
-
-	// placement holds rebalance overrides: tenant name → shard id, for
-	// tenants living somewhere other than their hash-home shard. Reads
-	// are on every request path, writes only on rebalance and restore.
-	placeMu   sync.RWMutex
-	placement map[string]int
-
-	// rebalanceMu serializes admin rebalances so two concurrent moves
-	// cannot fight over one tenant or interleave placement flips.
-	rebalanceMu sync.Mutex
 }
 
 // New builds a server and, when cfg.SnapshotDir is set, warm-restarts
-// every tenant checkpointed there onto the shard whose subdirectory
-// holds its snapshot.
+// every tenant checkpointed there.
 func New(cfg Config) (*Server, error) {
-	s := &Server{cfg: cfg, placement: make(map[string]int)}
+	reg := cfg.Obs
+	s := &Server{
+		cfg:          cfg,
+		tenants:      make(map[string]*tenant),
+		pendingGauge: reg.Gauge("fenrir_serve_pending"),
+		drainGauge:   reg.Gauge("fenrir_serve_drain_seconds"),
+		admitHist:    reg.Histogram("fenrir_serve_admission_seconds"),
+	}
 	// The governor must be in place before any tenant-labeled series is
 	// resolved (restore creates per-tenant instruments), so overflow
 	// tenants collapse into __other__ from the very first registration.
-	cfg.Obs.SetSeriesCap(cfg.SeriesCap)
+	reg.SetSeriesCap(cfg.SeriesCap)
 	if cfg.HistoryEvery > 0 {
-		s.hist = history.New(cfg.Obs, history.Config{
+		s.hist = history.New(reg, history.Config{
 			Every:  cfg.HistoryEvery,
 			Retain: cfg.HistoryRetain,
 			Rules:  append(DefaultAlertRules(), cfg.AlertRules...),
 		})
 	}
-	s.shards = make([]*shard, cfg.shardCount())
-	for k := range s.shards {
-		s.shards[k] = newShard(k, s)
-	}
 	if cfg.SnapshotDir != "" {
-		for _, sh := range s.shards {
-			if err := os.MkdirAll(sh.dir(), 0o755); err != nil {
-				return nil, fmt.Errorf("serve: snapshot dir: %w", err)
-			}
+		if err := os.MkdirAll(s.dir(), 0o755); err != nil {
+			return nil, fmt.Errorf("serve: snapshot dir: %w", err)
 		}
 		if err := s.restoreAll(); err != nil {
 			return nil, err
@@ -214,81 +212,50 @@ func DefaultAlertRules() []history.Rule {
 	}
 }
 
-// homeShard is the consistent-hash placement for a tenant name.
-func (s *Server) homeShard(name string) int {
-	return jumpHash(hashTenant(name), len(s.shards))
+// dir is the checkpoint directory: <SnapshotDir>/shard-0.
+func (s *Server) dir() string {
+	return filepath.Join(s.cfg.SnapshotDir, snapSubdir)
 }
 
-// shardFor resolves a tenant name to its shard: a rebalance override if
-// one exists, the hash-home shard otherwise.
-func (s *Server) shardFor(name string) *shard {
-	s.placeMu.RLock()
-	k, ok := s.placement[name]
-	s.placeMu.RUnlock()
-	if !ok {
-		k = s.homeShard(name)
-	}
-	return s.shards[k]
-}
-
-// restoreAll loads every checkpoint in SnapshotDir. Legacy flat
-// <dir>/<name>.fsnap files (pre-shard layout) are first renamed into
-// their home shard's subdirectory, then each shard-<k>/ subdirectory is
-// scanned and its tenants restored in place — a tenant checkpointed on
-// shard k (including one rebalanced there) comes back on shard k.
+// restoreAll loads every checkpoint in the checkpoint directory. It
+// first refuses any *.fsnap elsewhere under SnapshotDir — directly in
+// it, or in another shard-<k>/ — because those were written by a daemon
+// that spread tenants over several directories, and restoring only
+// shard-0/ would silently drop them.
 func (s *Server) restoreAll() error {
 	entries, err := os.ReadDir(s.cfg.SnapshotDir)
 	if err != nil {
 		return fmt.Errorf("serve: scan snapshot dir: %w", err)
 	}
 	for _, e := range entries {
+		path := filepath.Join(s.cfg.SnapshotDir, e.Name())
+		switch {
+		case !e.IsDir() && strings.HasSuffix(e.Name(), snapSuffix):
+			return fmt.Errorf("serve: stray snapshot %s: checkpoints live in %s", path, s.dir())
+		case e.IsDir() && e.Name() != snapSubdir && strings.HasPrefix(e.Name(), "shard-"):
+			stray, err := filepath.Glob(filepath.Join(path, "*"+snapSuffix))
+			if err != nil {
+				return fmt.Errorf("serve: scan %s: %w", path, err)
+			}
+			if len(stray) > 0 {
+				return fmt.Errorf("serve: stray snapshot %s: checkpoints live in %s", stray[0], s.dir())
+			}
+		}
+	}
+	files, err := os.ReadDir(s.dir())
+	if err != nil {
+		return fmt.Errorf("serve: scan snapshot dir: %w", err)
+	}
+	for _, e := range files {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), snapSuffix) {
 			continue
 		}
 		name := strings.TrimSuffix(e.Name(), snapSuffix)
-		home := s.shards[s.homeShard(name)]
-		from := filepath.Join(s.cfg.SnapshotDir, e.Name())
-		to := filepath.Join(home.dir(), e.Name())
-		if err := os.Rename(from, to); err != nil {
-			return fmt.Errorf("serve: migrate legacy snapshot %q: %w", e.Name(), err)
-		}
-	}
-	for _, sh := range s.shards {
-		files, err := os.ReadDir(sh.dir())
+		mon, err := s.loadMonitor(filepath.Join(s.dir(), e.Name()))
 		if err != nil {
-			return fmt.Errorf("serve: scan shard dir: %w", err)
+			return fmt.Errorf("serve: restore tenant %q: %w", name, err)
 		}
-		for _, e := range files {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), snapSuffix) {
-				continue
-			}
-			name := strings.TrimSuffix(e.Name(), snapSuffix)
-			path := filepath.Join(sh.dir(), e.Name())
-			if prev := s.shardFor(name).tenant(name); prev != nil {
-				// The same tenant exists in two shard directories: a crash
-				// landed between a rebalance writing the target snapshot and
-				// removing the source one. Both copies held identical bytes
-				// when written; keep the one with more accepted appends (the
-				// tie goes to the copy already restored) and heal the
-				// directory by deleting the other file.
-				if err := s.resolveDuplicate(prev, sh, name, path); err != nil {
-					return err
-				}
-				continue
-			}
-			mon, err := s.loadMonitor(path)
-			if err != nil {
-				return fmt.Errorf("serve: restore tenant %q: %w", name, err)
-			}
-			sh.mu.Lock()
-			sh.tenants[name] = newTenant(name, mon, sh)
-			sh.mu.Unlock()
-			if home := s.homeShard(name); home != sh.id {
-				s.placeMu.Lock()
-				s.placement[name] = sh.id
-				s.placeMu.Unlock()
-			}
-		}
+		s.tenants[name] = newTenant(name, mon, s)
 	}
 	return nil
 }
@@ -314,108 +281,96 @@ func (s *Server) loadMonitor(path string) (*core.Monitor, error) {
 	return m, nil
 }
 
-// resolveDuplicate handles a tenant found in a second shard directory
-// after a crash mid-rebalance: the copy with more accepted appends wins
-// (ties keep the already-restored one) and the loser's file is removed.
-func (s *Server) resolveDuplicate(prev *tenant, sh *shard, name, path string) error {
-	mon, err := s.loadMonitor(path)
-	if err != nil {
-		return fmt.Errorf("serve: restore tenant %q: %w", name, err)
-	}
-	if mon.Snapshot().Appends <= prev.mon.Snapshot().Appends {
-		s.cfg.Obs.Logger().Warn("duplicate tenant snapshot discarded",
-			"tenant", name, "shard", sh.id, "kept_shard", prev.sh.id)
-		return os.Remove(path)
-	}
-	// The later copy wins: re-home the tenant onto this shard.
-	prev.stop()
-	oldPath := prev.snapshotPath()
-	prev.sh.remove(name)
-	sh.mu.Lock()
-	sh.tenants[name] = newTenant(name, mon, sh)
-	sh.mu.Unlock()
-	s.setPlacement(name, sh.id)
-	s.cfg.Obs.Logger().Warn("duplicate tenant snapshot resolved",
-		"tenant", name, "kept_shard", sh.id)
-	return os.Remove(oldPath)
-}
-
-// setPlacement records where a tenant lives; the override is dropped
-// when it matches the hash-home shard so the table only holds genuine
-// exceptions.
-func (s *Server) setPlacement(name string, shardID int) {
-	s.placeMu.Lock()
-	if s.homeShard(name) == shardID {
-		delete(s.placement, name)
-	} else {
-		s.placement[name] = shardID
-	}
-	s.placeMu.Unlock()
-}
-
 // Handler returns the daemon's HTTP API.
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // tenant returns the named tenant, or nil.
 func (s *Server) tenant(name string) *tenant {
-	return s.shardFor(name).tenant(name)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.tenants[name]
 }
 
-// tenantNames returns all tenant names across shards, sorted for stable
-// listings.
-func (s *Server) tenantNames() []string {
-	var names []string
-	for _, sh := range s.shards {
-		names = append(names, sh.names()...)
+// insert creates and registers a tenant, re-checking the draining flag
+// under the same lock Drain holds while it sets the flag and captures
+// the tenant list. That closes the create-vs-drain TOCTOU: a create
+// either lands before the capture (and is stopped and checkpointed by
+// Drain) or fails with errDraining — it can never slip in between and
+// leave a running, never-checkpointed tenant behind.
+func (s *Server) insert(name string, mon *core.Monitor) (*tenant, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining.Load() {
+		return nil, errDraining
 	}
+	if _, ok := s.tenants[name]; ok {
+		return nil, errExists
+	}
+	t := newTenant(name, mon, s)
+	s.tenants[name] = t
+	return t, nil
+}
+
+// tenantNames returns all tenant names, sorted for stable listings.
+func (s *Server) tenantNames() []string {
+	s.mu.Lock()
+	names := make([]string, 0, len(s.tenants))
+	for n := range s.tenants {
+		names = append(names, n)
+	}
+	s.mu.Unlock()
 	sort.Strings(names)
 	return names
 }
 
 func (s *Server) setTenantGauge() {
-	total := 0
-	for _, sh := range s.shards {
-		n := sh.count()
-		sh.tenantGauge.Set(float64(n))
-		total += n
-	}
-	s.cfg.Obs.Gauge("fenrir_serve_tenants").Set(float64(total))
+	s.mu.Lock()
+	n := len(s.tenants)
+	s.mu.Unlock()
+	s.cfg.Obs.Gauge("fenrir_serve_tenants").Set(float64(n))
 }
 
-// Drain stops accepting observations, waits for every tenant's queue to
-// empty, and writes a final checkpoint per tenant — all shards in
-// parallel, each recording its drain wall time. Call it on SIGTERM
-// before shutting the HTTP server down; afterwards queries still work
-// but ingest and creates return 503.
+// addPending tracks the daemon-wide admitted-but-unappended backlog.
+func (s *Server) addPending(delta int64) {
+	s.pendingGauge.Set(float64(s.pending.Add(delta)))
+}
+
+// Drain stops accepting observations and, for every tenant, waits for
+// its queue to empty and writes a final checkpoint, recording the drain
+// wall time. Call it on SIGTERM before shutting the HTTP server down;
+// afterwards queries still work but ingest and creates return 503.
 func (s *Server) Drain() error {
-	// Flip the flag under rebalanceMu: a rebalance holds that mutex for
-	// its whole duration, so acquiring it here means no move is in
-	// flight, and every later move sees isDraining and refuses. Without
-	// this a move could run concurrently with shard drains and scatter a
-	// tenant's checkpoint across two shard directories.
-	s.rebalanceMu.Lock()
+	t0 := time.Now()
+	// The flag and the tenant list are taken under one critical section
+	// (see insert).
+	s.mu.Lock()
 	s.draining.Store(true)
-	s.rebalanceMu.Unlock()
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		wg.Add(1)
-		go func(i int, sh *shard) {
-			defer wg.Done()
-			errs[i] = sh.drain()
-		}(i, sh)
+	ts := make([]*tenant, 0, len(s.tenants))
+	for _, t := range s.tenants {
+		ts = append(ts, t)
 	}
-	wg.Wait()
-	// Stop the sampler last: its final tick captures the drained state
-	// (drain gauges, final checkpoint counters) in the rings and gives
-	// every alert rule one last evaluation before the manifest is cut.
-	s.hist.Stop()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	s.mu.Unlock()
+	var firstErr error
+	for _, t := range ts {
+		// stop drains the queue and parks the worker, so the final
+		// checkpoint below covers every accepted observation and races
+		// with nothing.
+		t.stop()
+		if s.cfg.SnapshotDir == "" {
+			continue
+		}
+		if _, err := t.checkpoint(); err != nil && firstErr == nil {
+			firstErr = err
 		}
 	}
-	return nil
+	d := time.Since(t0)
+	s.drainNanos.Store(d.Nanoseconds())
+	s.drainGauge.Set(d.Seconds())
+	// Stop the sampler last: its final tick captures the drained state
+	// (drain gauge, final checkpoint counters) in the rings and gives
+	// every alert rule one last evaluation before the manifest is cut.
+	s.hist.Stop()
+	return firstErr
 }
 
 // isDraining reports whether Drain has begun.

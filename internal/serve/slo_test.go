@@ -48,12 +48,11 @@ func TestBackpressureRetryAfterHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	nets := specNets(10)
-	sh := s.shardFor("stall")
-	tn := &tenant{name: "stall", srv: s, sh: sh, mon: mon, queue: make(chan queued, 2), done: make(chan struct{})}
+	tn := &tenant{name: "stall", srv: s, mon: mon, queue: make(chan queued, 2), done: make(chan struct{})}
 	tn.cond = sync.NewCond(&tn.mu)
-	sh.mu.Lock()
-	sh.tenants["stall"] = tn
-	sh.mu.Unlock()
+	s.mu.Lock()
+	s.tenants["stall"] = tn
+	s.mu.Unlock()
 
 	for e := 0; e < 2; e++ {
 		if code, body := doReq(t, ts, http.MethodPost, "/v1/tenants/stall/observations", observation(nets, e, 99)); code != http.StatusAccepted {

@@ -12,7 +12,7 @@ import (
 	"fenrir/internal/timeline"
 )
 
-// snapSuffix names tenant checkpoint files: <snapshot-dir>/<name>.fsnap.
+// snapSuffix names tenant checkpoint files: <snapshot-dir>/shard-0/<name>.fsnap.
 const snapSuffix = ".fsnap"
 
 // queued is one admitted observation riding the ingest queue, stamped at
@@ -31,7 +31,6 @@ type queued struct {
 type tenant struct {
 	name string
 	srv  *Server
-	sh   *shard // owning shard: placement, snapshot subdirectory, pending rollup
 	mon  *core.Monitor
 
 	mu           sync.Mutex
@@ -62,18 +61,15 @@ type tenant struct {
 	// ingestCount is the tenant's accepted-append counter. Under the
 	// cardinality governor an overflow tenant's handle resolves to the
 	// shared {tenant="__other__"} counter, so the sum across all
-	// tenant-labeled series always equals the sum across the shard
-	// rollups.
+	// tenant-labeled series always equals fenrir_serve_ingest_total.
 	ingestCount *obs.Counter
 }
 
-func newTenant(name string, mon *core.Monitor, sh *shard) *tenant {
-	s := sh.srv
+func newTenant(name string, mon *core.Monitor, s *Server) *tenant {
 	reg := s.cfg.Obs
 	t := &tenant{
 		name:  name,
 		srv:   s,
-		sh:    sh,
 		mon:   mon,
 		queue: make(chan queued, s.cfg.queueDepth()),
 		done:  make(chan struct{}),
@@ -142,7 +138,7 @@ func (t *tenant) admit(v *core.Vector) (err error, full bool) {
 	t.lastAccepted = v.T
 	t.hasAccepted = true
 	t.pending++
-	t.sh.addPending(1)
+	t.srv.addPending(1)
 	depth := len(t.queue)
 	t.queueGauge.Set(float64(depth))
 	t.depthHist.Observe(float64(depth))
@@ -171,13 +167,12 @@ func (t *tenant) worker() {
 		t.pending--
 		t.cond.Broadcast()
 		t.mu.Unlock()
-		t.sh.addPending(-1)
+		t.srv.addPending(-1)
 		if err != nil {
 			obsReg.Counter(`fenrir_serve_rejected_total{reason="append"}`).Inc()
 		} else {
 			obsReg.Counter("fenrir_serve_ingest_total").Inc()
 			t.ingestCount.Inc()
-			t.sh.ingestCount.Inc()
 			obsReg.Histogram("fenrir_serve_ingest_seconds").ObserveSince(t0)
 			// Append-to-queryable lag: the observation became visible to
 			// queries now; it was accepted at q.admitted.
@@ -221,10 +216,9 @@ func (t *tenant) stop() {
 	<-t.done
 }
 
-// snapshotPath returns the tenant's checkpoint file path inside its
-// shard's snapshot subdirectory.
+// snapshotPath returns the tenant's checkpoint file path.
 func (t *tenant) snapshotPath() string {
-	return filepath.Join(t.sh.dir(), t.name+snapSuffix)
+	return filepath.Join(t.srv.dir(), t.name+snapSuffix)
 }
 
 // checkpoint writes the tenant's state to its snapshot file and returns

@@ -27,11 +27,11 @@ func encodeSpace(s *core.Space) []byte {
 
 func decodeSpace(payload []byte) (*core.Space, int, error) {
 	d := &dec{buf: payload}
-	nets := make([]string, d.u32())
+	nets := make([]string, d.count(4)) // each name is a u32 length + bytes
 	for i := range nets {
 		nets[i] = d.str()
 	}
-	numSites := int(d.u32())
+	numSites := d.count(4)
 	sites := make([]string, numSites)
 	for i := range sites {
 		sites[i] = d.str()
@@ -88,13 +88,17 @@ func encodeVectors(space *core.Space, vs []*core.Vector) []byte {
 
 func decodeVectors(payload []byte, space *core.Space, numSites int) ([]*core.Vector, error) {
 	d := &dec{buf: payload}
-	count := int(d.u32())
+	count := d.u32()
 	width := int(d.u32())
 	if !d.bad && width != space.NumNetworks() {
 		return nil, corrupt("vectors", "assignment width %d != networks %d", width, space.NumNetworks())
 	}
+	// Each vector is an i64 epoch plus one u32 per network.
+	if !d.fits(count, 8+4*width) {
+		count = 0
+	}
 	vs := make([]*core.Vector, 0, count)
-	for i := 0; i < count; i++ {
+	for i := 0; i < int(count); i++ {
 		v := space.NewVector(timeline.Epoch(d.i64()))
 		for n := 0; n < width; n++ {
 			a := int32(d.u32())
@@ -141,7 +145,7 @@ func EncodeSeries(w io.Writer, s *core.Series) error {
 
 // DecodeSeries reads a series snapshot written by EncodeSeries.
 func DecodeSeries(r io.Reader) (*core.Series, error) {
-	kind, _, err := readHeader(r)
+	kind, err := readHeader(r)
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +167,7 @@ func DecodeSeries(r io.Reader) (*core.Series, error) {
 	d := &dec{buf: payload}
 	sched := decodeSchedule(d)
 	var gaps *timeline.Gaps
-	if n := int(d.u32()); !d.bad && n > 0 {
+	if n := d.count(8); n > 0 {
 		gaps = timeline.NewGaps()
 		for i := 0; i < n; i++ {
 			gaps.Mark(timeline.Epoch(d.i64()))
@@ -249,10 +253,10 @@ func EncodeMonitor(w io.Writer, st core.MonitorState) error {
 		return err
 	}
 
-	// Version-2 trailing frame: sliding window, eviction count, the
-	// online engine's sweep configuration, and — when the engine was
-	// live at export — its dendrogram merges (node ids fit u32: they are
-	// bounded by 2·len(Vectors)).
+	// Trailing window frame: sliding window, eviction count, the online
+	// engine's sweep configuration, and — when the engine was live at
+	// export — its dendrogram merges (node ids fit u32: they are bounded
+	// by 2·len(Vectors)).
 	var win enc
 	win.i64(int64(st.Window))
 	win.u64(st.Evictions)
@@ -280,7 +284,7 @@ func EncodeMonitor(w io.Writer, st core.MonitorState) error {
 // with core.RestoreMonitor, which re-validates.
 func DecodeMonitor(r io.Reader) (core.MonitorState, error) {
 	var st core.MonitorState
-	kind, version, err := readHeader(r)
+	kind, err := readHeader(r)
 	if err != nil {
 		return st, err
 	}
@@ -304,7 +308,7 @@ func DecodeMonitor(r io.Reader) (core.MonitorState, error) {
 	d := &dec{buf: payload}
 	st.Schedule = decodeSchedule(d)
 	if d.u8() == 1 {
-		st.Weights = make([]float64, d.u32())
+		st.Weights = make([]float64, d.count(8))
 		for i := range st.Weights {
 			st.Weights[i] = d.f64()
 		}
@@ -341,6 +345,11 @@ func DecodeMonitor(r io.Reader) (core.MonitorState, error) {
 	}
 	st.Sim = make([][]float64, rows)
 	for i := 0; i < rows; i++ {
+		// Row i holds i lower-triangle values; check each row against the
+		// bytes left before allocating it.
+		if !d.fits(uint32(i), 8) {
+			break
+		}
 		row := make([]float64, i)
 		for j := 0; j < i; j++ {
 			row[j] = d.f64()
@@ -366,12 +375,6 @@ func DecodeMonitor(r io.Reader) (core.MonitorState, error) {
 		return st, err
 	}
 
-	if version < 2 {
-		// Version-1 file: no window frame. Unbounded window, default
-		// sweep configuration, dormant engine — exactly the state a
-		// pre-window monitor restore produced.
-		return st, nil
-	}
 	payload, err = readFrame(r, "window")
 	if err != nil {
 		return st, err
@@ -385,7 +388,7 @@ func DecodeMonitor(r io.Reader) (core.MonitorState, error) {
 	st.Adaptive.Linkage = core.Linkage(d.u8())
 	if d.u8() == 1 {
 		st.EngineValid = true
-		st.EngineMerges = make([]core.Merge, d.u32())
+		st.EngineMerges = make([]core.Merge, d.count(16)) // u32 A, u32 B, f64 height
 		for i := range st.EngineMerges {
 			st.EngineMerges[i] = core.Merge{
 				A: int(d.u32()), B: int(d.u32()), Height: d.f64(),

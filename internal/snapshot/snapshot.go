@@ -8,16 +8,14 @@
 // Format (all integers little-endian):
 //
 //	magic   "FENRSNP1" (8 bytes)
-//	version uint16     (currently 2; readers accept 1 and 2)
+//	version uint16     (currently 2; readers accept only 2)
 //	kind    uint8      (1 = series, 2 = monitor)
 //	frames  …          one per section, in a fixed kind-specific order
 //
-// Version 2 appends one trailing "window" frame to monitor snapshots:
-// the sliding-window bound, the eviction count, the online engine's
-// sweep configuration, and (when the engine was live at checkpoint
-// time) its dendrogram, so a warm restart answers mode queries without
-// re-clustering. Version-1 files carry no window frame and decode with
-// an unbounded window and a dormant engine — old files still load.
+// Monitor snapshots end with a "window" frame: the sliding-window
+// bound, the eviction count, the online engine's sweep configuration,
+// and (when the engine was live at checkpoint time) its dendrogram, so
+// a warm restart answers mode queries without re-clustering.
 //
 // Each frame is `len uint32 | payload | crc uint32` where crc is the
 // IEEE CRC-32 of the payload, so truncation and corruption are caught
@@ -25,7 +23,10 @@
 // fully deterministic — no maps are walked, no timestamps are stamped —
 // so encoding the same state twice yields identical bytes, which is
 // what lets a kill-and-restore daemon run prove itself byte-identical
-// to an uninterrupted one.
+// to an uninterrupted one. Every element count inside a frame is
+// checked against the bytes left in that frame before anything is
+// allocated for it, so a forged count with a matching CRC is rejected
+// as corrupt instead of exhausting memory.
 //
 // Versioning rule: readers accept exactly the versions they know;
 // an unknown version returns *UnsupportedVersionError rather than a
@@ -45,7 +46,7 @@ import (
 // oldest version readers still accept.
 const (
 	Version    = 2
-	MinVersion = 1
+	MinVersion = 2
 )
 
 var magic = [8]byte{'F', 'E', 'N', 'R', 'S', 'N', 'P', '1'}
@@ -102,25 +103,24 @@ func writeHeader(w io.Writer, kind uint8) error {
 	return err
 }
 
-// readHeader validates magic and version and returns the kind and the
-// file's format version (within [MinVersion, Version]).
-func readHeader(r io.Reader) (kind uint8, version uint16, err error) {
+// readHeader validates magic and version and returns the kind.
+func readHeader(r io.Reader) (kind uint8, err error) {
 	var m [8]byte
 	if _, err := io.ReadFull(r, m[:]); err != nil {
-		return 0, 0, ErrBadMagic
+		return 0, ErrBadMagic
 	}
 	if m != magic {
-		return 0, 0, ErrBadMagic
+		return 0, ErrBadMagic
 	}
 	var hdr [3]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, corrupt("header", "truncated after magic")
+		return 0, corrupt("header", "truncated after magic")
 	}
 	v := binary.LittleEndian.Uint16(hdr[:2])
 	if v < MinVersion || v > Version {
-		return 0, 0, &UnsupportedVersionError{Version: v}
+		return 0, &UnsupportedVersionError{Version: v}
 	}
-	return hdr[2], v, nil
+	return hdr[2], nil
 }
 
 // writeFrame emits one CRC-checked frame.
@@ -180,11 +180,13 @@ func (e *enc) str(s string) {
 }
 
 // dec is the matching payload reader; it fails loudly on truncation via
-// the ok flag so callers convert to CorruptError with section context.
+// the bad flag so callers convert to CorruptError with section context.
+// why, when set, says what made the payload bad (default: truncation).
 type dec struct {
 	buf []byte
 	off int
 	bad bool
+	why string
 }
 
 func (d *dec) take(n int) []byte {
@@ -221,6 +223,33 @@ func (d *dec) u64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
+// count reads a u32 element count for elements that each take at least
+// size encoded bytes, returning 0 and marking the payload bad when that
+// many could not fit in what is left of it.
+func (d *dec) count(size int) int {
+	n := d.u32()
+	if !d.fits(n, size) {
+		return 0
+	}
+	return int(n)
+}
+
+// fits reports whether n elements of at least size encoded bytes each
+// fit in the unread payload, marking the payload bad when they do not:
+// a forged count must not drive an allocation (or a loop) larger than
+// the frame that carries it.
+func (d *dec) fits(n uint32, size int) bool {
+	if d.bad {
+		return false
+	}
+	if left := len(d.buf) - d.off; uint64(n)*uint64(size) > uint64(left) {
+		d.bad = true
+		d.why = fmt.Sprintf("count %d of %d-byte elements exceeds the %d bytes left", n, size, left)
+		return false
+	}
+	return true
+}
+
 func (d *dec) i64() int64   { return int64(d.u64()) }
 func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
 func (d *dec) str() string {
@@ -235,6 +264,9 @@ func (d *dec) str() string {
 // done returns an error unless the payload was consumed exactly.
 func (d *dec) done(section string) error {
 	if d.bad {
+		if d.why != "" {
+			return corrupt(section, "%s", d.why)
+		}
 		return corrupt(section, "truncated payload")
 	}
 	if d.off != len(d.buf) {

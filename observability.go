@@ -86,7 +86,7 @@ var WriteTraceFile = obs.WriteTraceFile
 // that fail it.
 var ValidateMetricName = obs.ValidateMetricName
 
-// Telemetry history re-exports (internal/obs/history, DESIGN.md §16):
+// Telemetry history re-exports (internal/obs/history, DESIGN.md §15):
 // the in-process time-series store and alert engine the daemon uses to
 // watch itself. All of it tolerates a nil *HistoryStore.
 type (

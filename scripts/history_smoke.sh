@@ -1,6 +1,6 @@
 #!/bin/sh
 # history_smoke.sh — end-to-end smoke test of the daemon's
-# self-observation surface (DESIGN.md §16). Runs a daemon with fast
+# self-observation surface (DESIGN.md §15). Runs a daemon with fast
 # history sampling and a seeded tight burn-rate SLO rule, then proves
 # the full loop over the public API: malformed ingest trips the rule
 # (visible at /v1/alerts), clean traffic resolves it, /v1/query serves

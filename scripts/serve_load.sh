@@ -12,14 +12,13 @@
 # to BENCH_OUT in the same JSON shape bench2json.sh produces for `make
 # bench`, so serve-path regressions diff exactly like kernel ones.
 #
-# Phase 2 is the tenant-scale sweep: a release (non-race) build serves
-# TENANTS tenants (default 1024) at each shard count in SHARD_SET while
-# scripts/serveload feeds them from LOAD_WRITERS concurrent producers,
-# recording per-shard-count throughput and admission p50/p90/p99 rows
-# alongside the phase-1 rows. SHARD_SET="" skips the sweep.
+# Phase 2 is the tenant-scale run: a release (non-race) build serves
+# TENANTS tenants (default 1024) while scripts/serveload feeds them from
+# LOAD_WRITERS concurrent producers, recording throughput and admission
+# p50/p90/p99 rows alongside the phase-1 rows. FLEET="" skips it.
 #
 #   WRITERS=8 EPOCHS=200 READERS=6 ./scripts/serve_load.sh
-#   TENANTS=2048 SHARD_SET="1 8" ./scripts/serve_load.sh
+#   TENANTS=2048 ./scripts/serve_load.sh
 set -e
 cd "$(dirname "$0")/.."
 
@@ -28,7 +27,7 @@ EPOCHS="${EPOCHS:-120}"
 READERS="${READERS:-4}"
 WINDOW="${WINDOW:-32}"
 BENCH_OUT="${BENCH_OUT:-BENCH_serve.json}"
-SHARD_SET="${SHARD_SET:-1 4 8}"
+FLEET="${FLEET-1}"
 TENANTS="${TENANTS:-1024}"
 LOAD_EPOCHS="${LOAD_EPOCHS:-16}"
 LOAD_WRITERS="${LOAD_WRITERS:-8}"
@@ -256,40 +255,37 @@ sort -g "$work"/lat.w[0-9]* | awk \
     }' >"$work/rows"
 echo "serve-load: ok — $WRITERS ordered writers + $WRITERS contended writers + 1 windowed writer (window $WINDOW) + $READERS readers, $EPOCHS epochs each, no races, no 5xx"
 
-# Phase 2: the tenant-scale sweep. A release build (throughput, not race
-# hunting) hosts TENANTS tenants at each shard count; scripts/serveload
-# feeds them from LOAD_WRITERS concurrent keepalive producers and emits
-# one throughput row plus admission quantile rows per shard count, all
-# labelled S=<shards> so shard scaling diffs row against row.
-if [ -n "$SHARD_SET" ]; then
+# Phase 2: the tenant-scale run. A release build (throughput, not race
+# hunting) hosts TENANTS tenants; scripts/serveload feeds them from
+# LOAD_WRITERS concurrent keepalive producers and emits one throughput
+# row plus admission quantile rows.
+if [ -n "$FLEET" ]; then
     relbin="$work/fenrir-rel"
     loadbin="$work/serveload"
     go build -o "$relbin" ./cmd/fenrir
     go build -o "$loadbin" ./scripts/serveload
-    for S in $SHARD_SET; do
-        log="$work/sweep-$S.log"
-        "$relbin" -serve 127.0.0.1:0 -shards "$S" 2>"$log" &
-        sweep_pid=$!
-        pids="$pids $sweep_pid"
-        surl=""
-        i=0
-        while [ $i -lt 200 ]; do
-            surl=$(sed -n 's!^fenrir: serving api \(http://[^ ]*\).*!\1!p' "$log" | head -1)
-            [ -n "$surl" ] && break
-            sleep 0.05
-            i=$((i + 1))
-        done
-        if [ -z "$surl" ]; then
-            echo "serve-load: sweep daemon (S=$S) never announced its address" >&2
-            cat "$log" >&2
-            exit 1
-        fi
-        "$loadbin" -url "$surl" -tenants "$TENANTS" -epochs "$LOAD_EPOCHS" \
-            -writers "$LOAD_WRITERS" -label "S=$S" >>"$work/rows"
-        kill "$sweep_pid" 2>/dev/null || true
-        wait "$sweep_pid" 2>/dev/null || true
-        echo "serve-load: sweep S=$S done ($TENANTS tenants x $LOAD_EPOCHS epochs)"
+    log="$work/fleet.log"
+    "$relbin" -serve 127.0.0.1:0 2>"$log" &
+    fleet_pid=$!
+    pids="$pids $fleet_pid"
+    furl=""
+    i=0
+    while [ $i -lt 200 ]; do
+        furl=$(sed -n 's!^fenrir: serving api \(http://[^ ]*\).*!\1!p' "$log" | head -1)
+        [ -n "$furl" ] && break
+        sleep 0.05
+        i=$((i + 1))
     done
+    if [ -z "$furl" ]; then
+        echo "serve-load: fleet daemon never announced its address" >&2
+        cat "$log" >&2
+        exit 1
+    fi
+    "$loadbin" -url "$furl" -tenants "$TENANTS" -epochs "$LOAD_EPOCHS" \
+        -writers "$LOAD_WRITERS" >>"$work/rows"
+    kill "$fleet_pid" 2>/dev/null || true
+    wait "$fleet_pid" 2>/dev/null || true
+    echo "serve-load: fleet done ($TENANTS tenants x $LOAD_EPOCHS epochs)"
 fi
 
 # Phase 3: the history-overhead A/B. The same release build and load
@@ -299,7 +295,7 @@ fi
 # sampler's ingest cost is a one-line diff. The run prints the measured
 # overhead; the budget is <= 5% at the 100ms interval. HISTORY_AB=""
 # skips the phase.
-HISTORY_AB="${HISTORY_AB:-1}"
+HISTORY_AB="${HISTORY_AB-1}"
 HIST_TENANTS="${HIST_TENANTS:-64}"
 HIST_EPOCHS="${HIST_EPOCHS:-32}"
 if [ -n "$HISTORY_AB" ]; then

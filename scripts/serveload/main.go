@@ -4,20 +4,20 @@
 //
 // Each of -writers workers owns a disjoint slice of the -tenants fleet
 // and walks it epoch by epoch, so every tenant sees a strictly ordered
-// stream while the daemon as a whole absorbs W concurrent producers
-// spread across its shards. 429 backpressure retries the same epoch
+// stream while the daemon as a whole absorbs W concurrent producers.
+// 429 backpressure retries the same epoch
 // after a short pause; any other non-202 status fails the run. After
 // the write phase the tool polls /status until every accepted
 // observation is appended, then asserts none were lost.
 //
 //	serveload -url http://127.0.0.1:8080 -tenants 1024 -epochs 16 \
-//	    -writers 8 -label S=4
+//	    -writers 8
 //
-// -prefix renames the row stem (default "sharded"), letting the same
-// load shape record differently-purposed rows — the history-overhead
-// A/B uses -prefix history-overhead.
+// -prefix renames the row stem (default "fleet"), letting the same load
+// shape record differently-purposed rows — the history-overhead A/B
+// uses -prefix history-overhead -label history=on.
 //
-// Used by scripts/serve_load.sh to record multi-shard and
+// Used by scripts/serve_load.sh to record the tenant-scale and
 // history-overhead rows into BENCH_serve.json.
 package main
 
@@ -40,8 +40,8 @@ func main() {
 	epochs := flag.Int("epochs", 16, "observations per tenant")
 	writers := flag.Int("writers", 8, "concurrent producer workers")
 	networks := flag.Int("networks", 16, "networks per tenant universe")
-	label := flag.String("label", "", "row label suffix, e.g. S=4")
-	prefix := flag.String("prefix", "sharded", "row name stem, e.g. history-overhead")
+	label := flag.String("label", "", "row label suffix, e.g. history=on")
+	prefix := flag.String("prefix", "fleet", "row name stem, e.g. history-overhead")
 	flag.Parse()
 	if *url == "" {
 		fmt.Fprintln(os.Stderr, "serveload: -url is required")

@@ -7,16 +7,15 @@ import (
 )
 
 // ServeConfig configures the long-running monitoring daemon: checkpoint
-// directory, queue bounds, shard count, metrics registry, and the fault
-// seam. See DESIGN.md §8 and §15.
+// directory, queue bounds, metrics registry, and the fault seam. See
+// DESIGN.md §8.
 type ServeConfig = serve.Config
 
 // ServeServer hosts named Monitor tenants behind the daemon HTTP API
 // (`fenrir -serve`): POST observations in, GET modes, events, heatmap
-// rows, transition matrices, and largest flows back out. Tenants are
-// partitioned across ServeConfig.Shards in-process shards by consistent
-// hash; POST /v1/admin/rebalance moves one between shards with
-// byte-identical query answers across the move.
+// rows, transition matrices, and largest flows back out. All tenants
+// live in one map; a drained and restarted daemon answers every query
+// byte-identically.
 type ServeServer = serve.Server
 
 // NewServeServer builds a daemon server, warm-restarting any tenants
